@@ -242,13 +242,6 @@ pub struct DafsBatch {
     failed: Option<DafsError>,
 }
 
-impl DafsBatch {
-    /// Sub-requests posted but not yet retired.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-}
-
 fn rw_attrs(ptag: ProtectionTag) -> MemAttributes {
     MemAttributes {
         ptag,

@@ -118,35 +118,10 @@ fn split_seg_list(n: u64, stripe: u64, segs: &[ListSeg]) -> Vec<Vec<ListSeg>> {
     per
 }
 
-/// Packed-layout segment list for `(offset, len)` ranges: buffer offsets
-/// are the running prefix sums, mirroring [`ListReq::packed`].
-fn packed_segs(ranges: &[(u64, u64)]) -> Vec<ListSeg> {
-    let mut rel = 0u64;
-    ranges
-        .iter()
-        .map(|&(off, len)| {
-            let s = (off, len, rel);
-            rel += len;
-            s
-        })
-        .collect()
-}
-
 /// An in-flight striped batch: at most one per [`DafsStripedFile`] (each
 /// underlying session allows one outstanding [`DafsBatch`]).
 pub struct DafsStripedBatch {
     per_server: Vec<Option<DafsBatch>>,
-}
-
-impl DafsStripedBatch {
-    /// Sub-requests posted but not yet retired, across all servers.
-    pub fn in_flight(&self) -> usize {
-        self.per_server
-            .iter()
-            .flatten()
-            .map(|b| b.in_flight())
-            .sum()
-    }
 }
 
 /// One logical file striped over N DAFS sessions.
@@ -176,16 +151,6 @@ impl DafsStripedFile {
             fhs,
             stripe: stripe_size,
         }
-    }
-
-    /// Number of servers the file stripes over.
-    pub fn servers(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// The stripe (block) size in bytes.
-    pub fn stripe_size(&self) -> u64 {
-        self.stripe
     }
 
     /// The session for server `s` (bench harnesses use this for stats).
@@ -335,37 +300,8 @@ impl DafsStripedFile {
                 .write(ctx, self.fhs[p.server], p.local, src, p.len)
                 .map(|_| ());
         }
-        let by_server = self.per_server(&pieces);
-        let mut batches: Vec<Option<DafsBatch>> = Vec::with_capacity(self.clients.len());
-        for (s, ps) in by_server.iter().enumerate() {
-            if ps.is_empty() {
-                batches.push(None);
-                continue;
-            }
-            let reqs: Vec<WriteReq> = ps
-                .iter()
-                .map(|p| WriteReq {
-                    fh: self.fhs[s],
-                    off: p.local,
-                    src: src.offset(p.rel),
-                    len: p.len,
-                })
-                .collect();
-            batches.push(Some(self.clients[s].write_batch_begin(ctx, &reqs)));
-        }
-        let mut first_err = None;
-        for (s, b) in batches.into_iter().enumerate() {
-            let Some(b) = b else { continue };
-            for r in self.clients[s].batch_finish(ctx, b) {
-                if let (Err(e), None) = (r, &first_err) {
-                    first_err = Some(e);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let b = self.write_batch_begin(ctx, &[(off, src, len)]);
+        self.batch_finish(ctx, b).map(|_| ())
     }
 
     // ----- split-phase batch path -----------------------------------------
@@ -491,33 +427,6 @@ impl DafsStripedFile {
                 })
                 .collect(),
         }
-    }
-
-    /// Vectored read of sorted logical `(offset, len)` ranges into `dst`,
-    /// packed back to back. Returns total bytes read across all servers
-    /// (at the logical EOF, the missing tail simply doesn't land).
-    pub fn read_list(
-        &self,
-        ctx: &ActorCtx,
-        ranges: &[(u64, u64)],
-        dst: VirtAddr,
-    ) -> DafsResult<u64> {
-        let segs = packed_segs(ranges);
-        let b = self.read_list_batch_begin(ctx, &[(segs, dst)]);
-        self.batch_finish(ctx, b)
-    }
-
-    /// Vectored write of sorted logical `(offset, len)` ranges from `src`,
-    /// packed back to back. Returns total bytes written.
-    pub fn write_list(
-        &self,
-        ctx: &ActorCtx,
-        ranges: &[(u64, u64)],
-        src: VirtAddr,
-    ) -> DafsResult<u64> {
-        let segs = packed_segs(ranges);
-        let b = self.write_list_batch_begin(ctx, &[(segs, src)]);
-        self.batch_finish(ctx, b)
     }
 
     /// Nonblocking progress poll: retires completions that already arrived

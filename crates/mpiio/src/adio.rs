@@ -12,10 +12,7 @@
 
 use std::sync::Arc;
 
-use dafs::{
-    DafsBatch, DafsClient, DafsError, DafsStripedBatch, DafsStripedFile, ListReq, ListSeg, ReadReq,
-    WriteReq,
-};
+use dafs::{DafsClient, DafsError, DafsStripedBatch, DafsStripedFile, ListSeg};
 use memfs::{FsError, MemFs, NodeId, SetAttr};
 use nfsv3::{NfsClient, NfsError, NfsPendingRead, NfsPendingWrite};
 use simnet::cost::HostCost;
@@ -138,10 +135,8 @@ impl From<FsError> for AdioError {
 /// [`DriverKind::as_str`] / `Display`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DriverKind {
-    /// DAFS over VIA (the paper's system).
+    /// DAFS over VIA (the paper's system), one or more servers.
     Dafs,
-    /// One logical file striped round-robin across several DAFS servers.
-    DafsStriped,
     /// NFSv3 over TCP (the baseline).
     Nfs,
     /// Node-local in-memory filesystem.
@@ -149,12 +144,10 @@ pub enum DriverKind {
 }
 
 impl DriverKind {
-    /// Short lower-case name for reports ("dafs" / "dafs-striped" / "nfs"
-    /// / "ufs").
+    /// Short lower-case name for reports ("dafs" / "nfs" / "ufs").
     pub fn as_str(self) -> &'static str {
         match self {
             DriverKind::Dafs => "dafs",
-            DriverKind::DafsStriped => "dafs-striped",
             DriverKind::Nfs => "nfs",
             DriverKind::Ufs => "ufs",
         }
@@ -174,7 +167,6 @@ impl std::str::FromStr for DriverKind {
     fn from_str(s: &str) -> Result<DriverKind, ()> {
         match s.to_ascii_lowercase().as_str() {
             "dafs" => Ok(DriverKind::Dafs),
-            "dafs-striped" | "dafs_striped" => Ok(DriverKind::DafsStriped),
             "nfs" => Ok(DriverKind::Nfs),
             "ufs" => Ok(DriverKind::Ufs),
             _ => Err(()),
@@ -421,8 +413,8 @@ pub trait AdioFs: Send + Sync {
     fn open(&self, ctx: &ActorCtx, path: &str, create: bool) -> AdioResult<Arc<dyn AdioFile>>;
 
     /// Open with the application's `MPI_Info` hints in scope. Drivers that
-    /// interpret layout hints (the striped driver reads `striping_factor`
-    /// / `striping_unit`) override this; the default ignores the hints.
+    /// interpret layout hints (the DAFS driver reads `striping_factor` /
+    /// `striping_unit`) override this; the default ignores the hints.
     fn open_with_hints(
         &self,
         ctx: &ActorCtx,
@@ -443,27 +435,6 @@ pub trait AdioFs: Send + Sync {
 // ---------------------------------------------------------------------------
 // DAFS driver
 // ---------------------------------------------------------------------------
-
-/// ADIO over a DAFS session.
-pub struct DafsAdio {
-    client: Arc<DafsClient>,
-}
-
-impl DafsAdio {
-    /// Wrap an established session.
-    pub fn new(client: Arc<DafsClient>) -> DafsAdio {
-        DafsAdio { client }
-    }
-
-    fn resolve_dir(
-        &self,
-        ctx: &ActorCtx,
-        path: &str,
-        create: bool,
-    ) -> AdioResult<(NodeId, String)> {
-        dafs_resolve_dir(&self.client, ctx, path, create)
-    }
-}
 
 /// Walk `path`'s directory components on one DAFS session, creating
 /// missing directories when `create` is set; returns the parent directory
@@ -639,421 +610,36 @@ fn declare_qos(client: &DafsClient, ctx: &ActorCtx, hints: &crate::hints::Hints)
     }
 }
 
-struct DafsFileHandle {
-    client: Arc<DafsClient>,
-    fh: NodeId,
-    /// Hidden shared-pointer file (created lazily at open).
-    shfp: NodeId,
-    /// `dafs_listio` hint captured at open: route sorted noncontiguous
-    /// batches through the wire-level list ops.
-    listio: bool,
-    /// `dafs_cache` hint captured at open: route contiguous reads and size
-    /// polls through the lease-coherent client cache.
-    cached: bool,
-}
-
-impl AdioFs for DafsAdio {
-    fn open(&self, ctx: &ActorCtx, path: &str, create: bool) -> AdioResult<Arc<dyn AdioFile>> {
-        self.open_with_hints(ctx, path, create, &crate::hints::Hints::default())
-    }
-
-    fn open_with_hints(
-        &self,
-        ctx: &ActorCtx,
-        path: &str,
-        create: bool,
-        hints: &crate::hints::Hints,
-    ) -> AdioResult<Arc<dyn AdioFile>> {
-        declare_qos(&self.client, ctx, hints);
-        let (dir, name) = self.resolve_dir(ctx, path, create)?;
-        let fh = dafs_open_node(&self.client, ctx, dir, &name, create)?;
-        // Shared-pointer companion.
-        let shfp = dafs_open_shfp(&self.client, ctx, dir, &name)?;
-        Ok(Arc::new(DafsFileHandle {
-            client: self.client.clone(),
-            fh,
-            shfp,
-            listio: listio_on(hints),
-            cached: cache_on(hints),
-        }))
-    }
-
-    fn delete(&self, ctx: &ActorCtx, path: &str) -> AdioResult<()> {
-        let (dir, name) = self.resolve_dir(ctx, path, false)?;
-        self.client
-            .remove(ctx, dir, &name)
-            .map_err(AdioError::from)?;
-        let _ = self
-            .client
-            .remove(ctx, dir, &format!("{name}{SHFP_SUFFIX}"));
-        Ok(())
-    }
-
-    fn kind(&self) -> DriverKind {
-        DriverKind::Dafs
-    }
-}
-
-impl AdioFile for DafsFileHandle {
-    fn read_contig(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> AdioResult<u64> {
-        with_retries(ctx, || {
-            if self.cached {
-                self.client.read_cached(ctx, self.fh, off, dst, len)
-            } else {
-                self.client.read(ctx, self.fh, off, dst, len)
-            }
-            .map_err(AdioError::from)
-        })
-    }
-
-    fn write_contig(&self, ctx: &ActorCtx, off: u64, src: VirtAddr, len: u64) -> AdioResult<()> {
-        with_retries(ctx, || {
-            if self.cached {
-                self.client.write_cached(ctx, self.fh, off, src, len)
-            } else {
-                self.client.write(ctx, self.fh, off, src, len)
-            }
-            .map(|_| ())
-            .map_err(AdioError::from)
-        })
-    }
-
-    fn read_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<u64> {
-        let rs: Vec<ReadReq> = reqs
-            .iter()
-            .map(|(off, dst, len)| ReadReq {
-                fh: self.fh,
-                off: *off,
-                dst: *dst,
-                len: *len,
-            })
-            .collect();
-        with_retries(ctx, || {
-            let mut total = 0;
-            for r in self.client.read_batch(ctx, &rs) {
-                total += r.map_err(AdioError::from)?;
-            }
-            Ok(total)
-        })
-    }
-
-    fn write_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<()> {
-        let ws: Vec<WriteReq> = reqs
-            .iter()
-            .map(|(off, src, len)| WriteReq {
-                fh: self.fh,
-                off: *off,
-                src: *src,
-                len: *len,
-            })
-            .collect();
-        with_retries(ctx, || {
-            for r in self.client.write_batch(ctx, &ws) {
-                r.map_err(AdioError::from)?;
-            }
-            Ok(())
-        })
-    }
-
-    fn list_io_enabled(&self) -> bool {
-        self.listio
-    }
-
-    fn read_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<u64> {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.read_batch(ctx, reqs);
-        };
-        let lr = ListReq {
-            fh: self.fh,
-            segs,
-            buf: base,
-        };
-        with_retries(ctx, || {
-            let b = self
-                .client
-                .read_list_batch_begin(ctx, std::slice::from_ref(&lr));
-            let mut total = 0;
-            for r in self.client.batch_finish(ctx, b) {
-                total += r.map_err(AdioError::from)?;
-            }
-            Ok(total)
-        })
-    }
-
-    fn write_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioResult<()> {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.write_batch(ctx, reqs);
-        };
-        let lr = ListReq {
-            fh: self.fh,
-            segs,
-            buf: base,
-        };
-        with_retries(ctx, || {
-            let b = self
-                .client
-                .write_list_batch_begin(ctx, std::slice::from_ref(&lr));
-            for r in self.client.batch_finish(ctx, b) {
-                r.map_err(AdioError::from)?;
-            }
-            Ok(())
-        })
-    }
-
-    fn iread_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.iread_batch(ctx, reqs);
-        };
-        let lr = ListReq {
-            fh: self.fh,
-            segs,
-            buf: base,
-        };
-        let batch = self
-            .client
-            .read_list_batch_begin(ctx, std::slice::from_ref(&lr));
-        // Residual-transient fallback re-runs the same ranges through the
-        // contiguous batch path — byte-identical placement.
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                batch,
-                reqs: reqs.to_vec(),
-                write: false,
-            }),
-        )
-    }
-
-    fn iwrite_list(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let Some((base, segs)) = self.listio.then(|| list_segments(reqs)).flatten() else {
-            return self.iwrite_batch(ctx, reqs);
-        };
-        let lr = ListReq {
-            fh: self.fh,
-            segs,
-            buf: base,
-        };
-        let batch = self
-            .client
-            .write_list_batch_begin(ctx, std::slice::from_ref(&lr));
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                batch,
-                reqs: reqs.to_vec(),
-                write: true,
-            }),
-        )
-    }
-
-    fn iread_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let rs: Vec<ReadReq> = reqs
-            .iter()
-            .map(|(off, dst, len)| ReadReq {
-                fh: self.fh,
-                off: *off,
-                dst: *dst,
-                len: *len,
-            })
-            .collect();
-        let batch = self.client.read_batch_begin(ctx, &rs);
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                batch,
-                reqs: reqs.to_vec(),
-                write: false,
-            }),
-        )
-    }
-
-    fn iwrite_batch(&self, ctx: &ActorCtx, reqs: &[(u64, VirtAddr, u64)]) -> AdioRequest {
-        let ws: Vec<WriteReq> = reqs
-            .iter()
-            .map(|(off, src, len)| WriteReq {
-                fh: self.fh,
-                off: *off,
-                src: *src,
-                len: *len,
-            })
-            .collect();
-        let batch = self.client.write_batch_begin(ctx, &ws);
-        AdioRequest::pending(
-            ctx,
-            Box::new(DafsPending {
-                client: self.client.clone(),
-                fh: self.fh,
-                batch,
-                reqs: reqs.to_vec(),
-                write: true,
-            }),
-        )
-    }
-
-    fn get_size(&self, ctx: &ActorCtx) -> AdioResult<u64> {
-        let attr = if self.cached {
-            self.client.getattr_cached(ctx, self.fh)
-        } else {
-            self.client.getattr(ctx, self.fh)
-        };
-        Ok(attr.map_err(AdioError::from)?.size)
-    }
-
-    fn set_size(&self, ctx: &ActorCtx, size: u64) -> AdioResult<()> {
-        self.client
-            .truncate(ctx, self.fh, size)
-            .map(|_| ())
-            .map_err(AdioError::from)
-    }
-
-    fn flush(&self, ctx: &ActorCtx) -> AdioResult<()> {
-        if self.cached {
-            // Drain dirty write-back pages through the coalesced
-            // `WriteList` flush, then hand the lease back: `MPI_File_sync`
-            // is the coherence point of MPI's weak consistency model, so
-            // the next access revalidates and another rank's conflicting
-            // op never parks behind a holder that is blocked in a
-            // collective. A clean handle with no lease syncs wire-free —
-            // the server-side `Flush` commit round trip only ships when
-            // data actually moved.
-            let flushed = self.client.cache_sync(ctx).map_err(AdioError::from)?;
-            self.client
-                .cache_release(ctx, self.fh)
-                .map_err(AdioError::from)?;
-            if flushed == 0 {
-                return Ok(());
-            }
-        }
-        self.client.flush(ctx, self.fh).map_err(AdioError::from)
-    }
-
-    fn cache_collective(&self) -> bool {
-        self.cached
-    }
-
-    fn shared_fetch_add(&self, ctx: &ActorCtx, nbytes: u64) -> AdioResult<u64> {
-        dafs_shfp_fetch_add(&self.client, ctx, self.shfp, nbytes)
-    }
-
-    fn shared_set(&self, ctx: &ActorCtx, value: u64) -> AdioResult<()> {
-        dafs_shfp_set(&self.client, ctx, self.shfp, value)
-    }
-
-    fn lock_file(&self, ctx: &ActorCtx) -> AdioResult<()> {
-        self.client.lock(ctx, self.fh).map_err(AdioError::from)
-    }
-
-    fn unlock_file(&self, ctx: &ActorCtx) -> AdioResult<()> {
-        self.client.unlock(ctx, self.fh).map_err(AdioError::from)
-    }
-}
-
-/// A split-phase DAFS batch in flight, plus what is needed to re-run it
-/// synchronously if the session dies (idempotent: reads re-fetch, writes
-/// re-put the same bytes at the same offsets).
-struct DafsPending {
-    client: Arc<DafsClient>,
-    fh: NodeId,
-    batch: DafsBatch,
-    reqs: Vec<(u64, VirtAddr, u64)>,
-    write: bool,
-}
-
-impl PendingIo for DafsPending {
-    fn test(&mut self, ctx: &ActorCtx) -> bool {
-        self.client.batch_test(ctx, &mut self.batch)
-    }
-
-    fn wait(self: Box<Self>, ctx: &ActorCtx) -> AdioResult<u64> {
-        let me = *self;
-        let sum = |results: Vec<dafs::DafsResult<u64>>| -> AdioResult<u64> {
-            let mut total = 0;
-            for r in results {
-                total += r.map_err(AdioError::from)?;
-            }
-            Ok(total)
-        };
-        match sum(me.client.batch_finish(ctx, me.batch)) {
-            Err(e) if transient(&e) => {
-                // Residual transient failure after the batch's own inline
-                // recovery: fall back to the synchronous batch path, which
-                // carries the usual ADIO retry budget.
-                ctx.metrics().counter("adio.retries").inc();
-                with_retries(ctx, || {
-                    let results = if me.write {
-                        let ws: Vec<WriteReq> = me
-                            .reqs
-                            .iter()
-                            .map(|(off, src, len)| WriteReq {
-                                fh: me.fh,
-                                off: *off,
-                                src: *src,
-                                len: *len,
-                            })
-                            .collect();
-                        me.client.write_batch(ctx, &ws)
-                    } else {
-                        let rs: Vec<ReadReq> = me
-                            .reqs
-                            .iter()
-                            .map(|(off, dst, len)| ReadReq {
-                                fh: me.fh,
-                                off: *off,
-                                dst: *dst,
-                                len: *len,
-                            })
-                            .collect();
-                        me.client.read_batch(ctx, &rs)
-                    };
-                    sum(results)
-                })
-            }
-            r => r,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Striped DAFS driver
-// ---------------------------------------------------------------------------
-
 /// Default stripe size when no `striping_unit` hint is given (the classic
 /// ROMIO/PVFS default).
 const DEFAULT_STRIPE: u64 = 64 << 10;
 
-/// ADIO over several DAFS sessions, striping each file round-robin across
-/// the servers ([`dafs::DafsStripedFile`]). The `striping_factor` hint
-/// selects how many of the available servers a file stripes over (0 =
-/// all), `striping_unit` the block size — both honored at open time, PVFS
+/// ADIO over DAFS: one session per server, each file striped round-robin
+/// across N ≥ 1 servers ([`dafs::DafsStripedFile`]). One server is the
+/// plain file — every range is one piece at its own offset, so the op
+/// stream is the unstriped session's. The `striping_factor` hint selects
+/// how many of the available servers a file stripes over (0 = all),
+/// `striping_unit` the block size — both honored at open time, PVFS
 /// style, so an existing file must be reopened with the layout it was
 /// created with.
-pub struct DafsStripedAdio {
+pub struct DafsAdio {
     clients: Vec<Arc<DafsClient>>,
 }
 
-impl DafsStripedAdio {
-    /// Wrap one established session per server, in server order.
-    pub fn new(clients: Vec<Arc<DafsClient>>) -> DafsStripedAdio {
-        assert!(
-            !clients.is_empty(),
-            "striped ADIO needs at least one server"
-        );
-        DafsStripedAdio { clients }
+impl DafsAdio {
+    /// Wrap an established session to a single server.
+    pub fn new(client: Arc<DafsClient>) -> DafsAdio {
+        DafsAdio::striped(vec![client])
     }
 
-    /// Number of servers available to stripe over.
-    pub fn servers(&self) -> usize {
-        self.clients.len()
+    /// Wrap one established session per server, in server order.
+    pub fn striped(clients: Vec<Arc<DafsClient>>) -> DafsAdio {
+        assert!(!clients.is_empty(), "DAFS ADIO needs at least one server");
+        DafsAdio { clients }
     }
 }
 
-struct DafsStripedFileHandle {
+struct DafsFileHandle {
     file: Arc<DafsStripedFile>,
     /// Shared-pointer companion, on server 0 (the metadata authority).
     shfp: NodeId,
@@ -1063,7 +649,7 @@ struct DafsStripedFileHandle {
     cached: bool,
 }
 
-impl AdioFs for DafsStripedAdio {
+impl AdioFs for DafsAdio {
     fn open(&self, ctx: &ActorCtx, path: &str, create: bool) -> AdioResult<Arc<dyn AdioFile>> {
         self.open_with_hints(ctx, path, create, &crate::hints::Hints::default())
     }
@@ -1099,7 +685,7 @@ impl AdioFs for DafsStripedAdio {
                 shfp = Some(dafs_open_shfp(c, ctx, dir, &name)?);
             }
         }
-        Ok(Arc::new(DafsStripedFileHandle {
+        Ok(Arc::new(DafsFileHandle {
             file: Arc::new(DafsStripedFile::new(clients, fhs, stripe)),
             shfp: shfp.expect("factor >= 1"),
             listio: listio_on(hints),
@@ -1130,11 +716,11 @@ impl AdioFs for DafsStripedAdio {
     }
 
     fn kind(&self) -> DriverKind {
-        DriverKind::DafsStriped
+        DriverKind::Dafs
     }
 }
 
-impl AdioFile for DafsStripedFileHandle {
+impl AdioFile for DafsFileHandle {
     fn read_contig(&self, ctx: &ActorCtx, off: u64, dst: VirtAddr, len: u64) -> AdioResult<u64> {
         with_retries(ctx, || {
             if self.cached {
@@ -1212,7 +798,7 @@ impl AdioFile for DafsStripedFileHandle {
         let batch = self.file.read_list_batch_begin(ctx, &[(segs, base)]);
         AdioRequest::pending(
             ctx,
-            Box::new(DafsStripedPending {
+            Box::new(DafsPending {
                 file: self.file.clone(),
                 batch,
                 reqs: reqs.to_vec(),
@@ -1228,7 +814,7 @@ impl AdioFile for DafsStripedFileHandle {
         let batch = self.file.write_list_batch_begin(ctx, &[(segs, base)]);
         AdioRequest::pending(
             ctx,
-            Box::new(DafsStripedPending {
+            Box::new(DafsPending {
                 file: self.file.clone(),
                 batch,
                 reqs: reqs.to_vec(),
@@ -1241,7 +827,7 @@ impl AdioFile for DafsStripedFileHandle {
         let batch = self.file.read_batch_begin(ctx, reqs);
         AdioRequest::pending(
             ctx,
-            Box::new(DafsStripedPending {
+            Box::new(DafsPending {
                 file: self.file.clone(),
                 batch,
                 reqs: reqs.to_vec(),
@@ -1254,7 +840,7 @@ impl AdioFile for DafsStripedFileHandle {
         let batch = self.file.write_batch_begin(ctx, reqs);
         AdioRequest::pending(
             ctx,
-            Box::new(DafsStripedPending {
+            Box::new(DafsPending {
                 file: self.file.clone(),
                 batch,
                 reqs: reqs.to_vec(),
@@ -1309,17 +895,18 @@ impl AdioFile for DafsStripedFileHandle {
     }
 }
 
-/// A split-phase striped batch in flight: per-server [`DafsBatch`]es plus
-/// what is needed to re-run the whole batch synchronously if a session
-/// dies (idempotent, like [`DafsPending`]).
-struct DafsStripedPending {
+/// A split-phase DAFS batch in flight: per-server batches plus what is
+/// needed to re-run the whole batch synchronously if a session dies
+/// (idempotent: reads re-fetch, writes re-put the same bytes at the same
+/// offsets).
+struct DafsPending {
     file: Arc<DafsStripedFile>,
     batch: DafsStripedBatch,
     reqs: Vec<(u64, VirtAddr, u64)>,
     write: bool,
 }
 
-impl PendingIo for DafsStripedPending {
+impl PendingIo for DafsPending {
     fn test(&mut self, ctx: &ActorCtx) -> bool {
         self.file.batch_test(ctx, &mut self.batch)
     }

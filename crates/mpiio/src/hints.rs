@@ -355,9 +355,9 @@ pub struct Hints {
     pub cb_cache: TriState,
     /// Vectored list I/O on DAFS backends: ship a sorted `(offset, len)`
     /// list as one wire request instead of data-sieving the covering
-    /// extent. `Automatic` means on where the backend supports it (DAFS,
-    /// DafsStriped); `disable` keeps the sieving path. Inert on NFS/UFS,
-    /// which have no vectored op.
+    /// extent. `Automatic` means on where the backend supports it (DAFS);
+    /// `disable` keeps the sieving path. Inert on NFS/UFS, which have no
+    /// vectored op.
     pub dafs_listio: TriState,
     /// Lease-coherent client caching on DAFS backends: serve re-reads and
     /// getattrs from a client page/attribute cache under a server-issued
@@ -377,11 +377,11 @@ pub struct Hints {
     /// a weighted-fair server is proportional to weight. Clamped to ≥ 1.
     pub dafs_tenant_weight: u32,
     /// Number of servers to stripe a new file over (PVFS/ROMIO
-    /// convention). 0 = all servers the filesystem has. Ignored by
-    /// unstriped drivers.
+    /// convention). 0 = all servers the filesystem has. Ignored by the
+    /// NFS and UFS drivers.
     pub striping_factor: usize,
     /// Stripe (block) size in bytes for striped filesystems. 0 = the
-    /// driver's default. Ignored by unstriped drivers.
+    /// driver's default. Ignored by the NFS and UFS drivers.
     pub striping_unit: u64,
     /// Raw key/value pairs as supplied (inert keys are preserved, like
     /// `striping_unit` on filesystems that ignore it).
@@ -482,7 +482,7 @@ mod tests {
             ("cb_buffer_size", "1048576"),
             ("romio_cb_write", "disable"),
             ("romio_ds_read", "enable"),
-            ("striping_unit", "65536"), // parsed by striped drivers, kept in raw
+            ("striping_unit", "65536"), // parsed by the DAFS driver, kept in raw
         ]);
         assert_eq!(h.cb_nodes, 2);
         assert_eq!(h.aggregators(8), 2);

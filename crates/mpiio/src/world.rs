@@ -20,34 +20,24 @@ use simnet::{
 use tcpnet::{TcpCost, TcpFabric};
 use via::{ViaCost, ViaFabric};
 
-use crate::adio::{
-    set_current_host, AdioFs, DafsAdio, DafsStripedAdio, DriverKind, NfsAdio, UfsAdio, UfsCost,
-};
+use crate::adio::{set_current_host, AdioFs, DafsAdio, DriverKind, NfsAdio, UfsAdio, UfsCost};
 use crate::comm::{Comm, CommCost};
 
 /// Which file-access stack the job runs on.
 #[derive(Clone)]
 pub enum Backend {
-    /// The paper's system: DAFS over VIA.
+    /// The paper's system: DAFS over VIA, each file striped round-robin
+    /// across `servers` DAFS servers (one session per server per rank;
+    /// one server is the paper's setup).
     Dafs {
         /// VIA fabric cost model (set `rdma_read_supported` for the
         /// direct-write ablation).
-        via: ViaCost,
-        /// Server cost model.
-        server: DafsServerCost,
-        /// Per-rank client/session configuration.
-        client: DafsClientConfig,
-    },
-    /// The paper's system striped round-robin across several DAFS
-    /// servers (one session per server per rank).
-    DafsStriped {
-        /// VIA fabric cost model.
         via: ViaCost,
         /// Per-server cost model.
         server: DafsServerCost,
         /// Per-rank, per-session client configuration.
         client: DafsClientConfig,
-        /// Number of DAFS servers (hosts 0..servers-1).
+        /// Number of DAFS servers (hosts 0..servers-1), at least one.
         servers: usize,
     },
     /// The baseline: NFSv3 over the kernel TCP path.
@@ -68,18 +58,14 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Default DAFS backend (cLAN-like fabric).
+    /// Default DAFS backend (cLAN-like fabric, one server).
     pub fn dafs() -> Backend {
-        Backend::Dafs {
-            via: ViaCost::default(),
-            server: DafsServerCost::default(),
-            client: DafsClientConfig::default(),
-        }
+        Backend::dafs_striped(1)
     }
 
-    /// Default striped-DAFS backend over `servers` servers.
+    /// Default DAFS backend striped over `servers` servers.
     pub fn dafs_striped(servers: usize) -> Backend {
-        Backend::DafsStriped {
+        Backend::Dafs {
             via: ViaCost::default(),
             server: DafsServerCost::default(),
             client: DafsClientConfig::default(),
@@ -107,7 +93,6 @@ impl Backend {
     pub fn kind(&self) -> DriverKind {
         match self {
             Backend::Dafs { .. } => DriverKind::Dafs,
-            Backend::DafsStriped { .. } => DriverKind::DafsStriped,
             Backend::Nfs { .. } => DriverKind::Nfs,
             Backend::Ufs { .. } => DriverKind::Ufs,
         }
@@ -216,27 +201,13 @@ impl Testbed {
         let mut via_fabric = None;
         let mut tcp_fabric = None;
         match &backend {
-            Backend::Dafs { via, server, .. } => {
-                let fabric = ViaFabric::new(*via);
-                let nic = fabric.open_nic(cluster.add_host("server0"));
-                dafs_handles.push(dafs::spawn_dafs_server(
-                    &kernel,
-                    &fabric,
-                    nic,
-                    fs.clone(),
-                    PORT,
-                    *server,
-                ));
-                server_fss.push(fs.clone());
-                via_fabric = Some(fabric);
-            }
-            Backend::DafsStriped {
+            Backend::Dafs {
                 via,
                 server,
                 servers,
                 ..
             } => {
-                assert!(*servers >= 1, "striped backend needs at least one server");
+                assert!(*servers >= 1, "DAFS backend needs at least one server");
                 let fabric = ViaFabric::new(*via);
                 for s in 0..*servers {
                     // Server 0 exports the testbed's primary fs handle.
@@ -310,7 +281,7 @@ impl Testbed {
         assert!(oversub >= 1, "oversubscription factor must be >= 1");
         let backend = Backend::dafs_striped(servers);
         let (wire_bw, wire_latency) = match &backend {
-            Backend::DafsStriped { via, .. } => (via.wire_bw, via.wire_latency),
+            Backend::Dafs { via, .. } => (via.wire_bw, via.wire_latency),
             _ => unreachable!(),
         };
         let mut tb = Testbed::with_obs(backend, obs);
@@ -334,7 +305,7 @@ impl Testbed {
         let fabric = tb
             .via_fabric
             .as_ref()
-            .expect("striped backend has a VIA fabric");
+            .expect("DAFS backend has a VIA fabric");
         fabric.set_topology(topo.clone());
         if let Some(p) = plan {
             fabric.set_fault_plan(p);
@@ -439,21 +410,6 @@ impl Testbed {
                     Backend::Dafs { client, .. } => {
                         let fabric = via_fabric.as_ref().unwrap();
                         let nic = fabric.open_nic(host.clone());
-                        let c = DafsClient::connect(
-                            ctx,
-                            fabric,
-                            &nic,
-                            server_host_id.unwrap(),
-                            PORT,
-                            *client,
-                        )
-                        .expect("DAFS session");
-                        let adio = DafsAdio::new(Arc::new(c));
-                        body(ctx, comm, &adio);
-                    }
-                    Backend::DafsStriped { client, .. } => {
-                        let fabric = via_fabric.as_ref().unwrap();
-                        let nic = fabric.open_nic(host.clone());
                         // One session per server, all over the rank's NIC.
                         let clients: Vec<Arc<DafsClient>> = server_host_ids
                             .iter()
@@ -464,7 +420,7 @@ impl Testbed {
                                 )
                             })
                             .collect();
-                        let adio = DafsStripedAdio::new(clients);
+                        let adio = DafsAdio::striped(clients);
                         body(ctx, comm, &adio);
                     }
                     Backend::Nfs { client, .. } => {

@@ -16,6 +16,15 @@ cargo test -q --workspace
 echo "==> chaos suite (deterministic fault injection)"
 cargo test -q --test chaos
 
+echo "==> perfbench build + self-test (its own Cargo workspace)"
+# perfbench/ links the simulator crates by path but is a workspace of its
+# own, so the workspace build above never compiles it: an mpiio/dafs API
+# rename would break the benchmark unseen. Build it into the directory
+# perfbench/run.py uses, so the self-test reuses the build.
+bench_target="${CARGO_TARGET_DIR:-.bench_build}"
+CARGO_TARGET_DIR="$bench_target" cargo build --release --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR="$bench_target" python3 perfbench/selftest.py
+
 echo "==> R-F7 overlap smoke (pipelined two-phase sweep)"
 f7_out=$(cargo run --release -p mpio-dafs-bench --bin f7_overlap -- --smoke)
 echo "$f7_out"

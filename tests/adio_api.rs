@@ -1,6 +1,6 @@
 //! Unit tests backfilling the typed ADIO API surface: the `OpenOptions`
-//! builder, `DriverKind` string round-trips, and the `source()` chain
-//! threaded through `AdioError::Io`.
+//! builder, `DriverKind` string round-trips, the `source()` chain
+//! threaded through `AdioError::Io`, and the DAFS driver's edge cases.
 
 use std::error::Error;
 use std::str::FromStr;
@@ -109,4 +109,34 @@ fn adio_error_source_chains_to_the_driver_error() {
         .unwrap()
         .source()
         .is_none());
+}
+
+#[test]
+fn dafs_zero_length_io_is_wire_free_and_missing_delete_fails() {
+    let tb = Testbed::new(Backend::dafs());
+    tb.run(1, |ctx, comm, adio| {
+        let host = comm.host().clone();
+        let f = adio.open(ctx, "/z", true).unwrap();
+        let buf = host.mem.alloc(4096);
+        host.mem.fill(buf, 4096, 0x5A);
+        f.write_contig(ctx, 0, buf, 4096).unwrap();
+        let ops = ctx.metrics().counter("dafs.ops");
+        let before = ops.get();
+        // A zero-length write and a zero-length batch entry are no-ops:
+        // nothing reaches the wire, and the rest of the batch still lands.
+        f.write_contig(ctx, 100, buf, 0).unwrap();
+        assert_eq!(ops.get(), before, "zero-length write_contig sent a request");
+        assert_eq!(f.read_batch(ctx, &[(0, buf, 0)]).unwrap(), 0);
+        assert_eq!(ops.get(), before, "zero-length read_batch sent a request");
+        let dst = host.mem.alloc(4096);
+        assert_eq!(
+            f.read_batch(ctx, &[(0, dst, 0), (0, dst, 4096)]).unwrap(),
+            4096
+        );
+        assert_eq!(host.mem.read_vec(dst, 4096), vec![0x5A; 4096]);
+        assert_eq!(ops.get(), before + 1, "one request for the one real entry");
+        assert_eq!(adio.delete(ctx, "/missing"), Err(AdioError::NoSuchFile));
+        adio.delete(ctx, "/z").unwrap();
+        assert_eq!(adio.delete(ctx, "/z"), Err(AdioError::NoSuchFile));
+    });
 }

@@ -173,6 +173,7 @@ fn rdma_read_fabric_write_direct_end_to_end() {
         },
         server: Default::default(),
         client: DafsClientConfig::default(),
+        servers: 1,
     };
     let tb = Testbed::new(backend);
     let fs = tb.fs.clone();
@@ -342,6 +343,7 @@ fn cb_cache_hint_collective_bytes_identical_and_flush_coalesced() {
                 cache_write_back: true,
                 ..DafsClientConfig::default()
             },
+            servers: 1,
         };
         let tb = Testbed::new(backend);
         let fs = tb.fs.clone();
