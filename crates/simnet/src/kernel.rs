@@ -9,10 +9,15 @@
 //! causal and the whole simulation is deterministic: the same program and
 //! seed produce a bit-identical virtual timeline on every run.
 //!
-//! The scheme trades wall-clock speed (two context switches per yield) for a
-//! natural blocking programming style in the protocol crates; simulated
-//! workloads model per-request costs, not per-byte events, so event counts
-//! stay modest.
+//! Dispatch is a direct handoff. An actor that blocks picks the next event
+//! itself, under the scheduler lock it already holds
+//! (`SchedState::grant_next`), and signals that actor's private condvar:
+//! one context switch per event. When the grant falls to the blocking actor
+//! itself — a lone `advance`, or a wake it scheduled that is still the
+//! earliest — it returns without parking at all. The scheduler thread only
+//! makes the first grant and then decides how the run ends (completion,
+//! deadlock or an actor panic); it sleeps while actors pass the token among
+//! themselves.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -106,9 +111,69 @@ struct SchedState {
     horizon: SimTime,
 }
 
+impl SchedState {
+    /// Serve the earliest still-valid event: mark its actor running, move
+    /// its clock and the horizon to the event time, and make it `current`.
+    /// Returns the granted actor and its wake signal, or `None` (with
+    /// `current` cleared) when no event is pending.
+    ///
+    /// The ready batch refills from the heap when it runs dry: one pass
+    /// drains the earliest event plus every event sharing its timestamp
+    /// (see [`SchedState::ready`] for why batch order is dispatch order).
+    fn grant_next(&mut self, trace: bool) -> Option<(ActorId, Arc<Condvar>)> {
+        let ev = loop {
+            if self.ready.is_empty() {
+                while let Some(&Reverse(top)) = self.queue.peek() {
+                    if self.ready.front().is_some_and(|b| top.time > b.time) {
+                        break;
+                    }
+                    self.queue.pop();
+                    // Stale (superseded wake or finished actor): a
+                    // generation never rolls back, so staleness is permanent
+                    // and early discard is safe.
+                    if self.is_live(&top) {
+                        self.ready.push_back(top);
+                    }
+                }
+            }
+            let Some(ev) = self.ready.pop_front() else {
+                self.current = None;
+                return None;
+            };
+            // Re-validate at serve time: an actor granted earlier in this
+            // batch has re-blocked under a new generation, staling any event
+            // it left behind.
+            if self.is_live(&ev) {
+                break ev;
+            }
+        };
+        self.horizon = self.horizon.max(ev.time);
+        let slot = &mut self.actors[ev.actor.0];
+        slot.state = ActorState::Running;
+        slot.pending_wake = None;
+        // Advance the actor's clock to the wake time; it may be ahead
+        // already (e.g. a message arrived in its past).
+        slot.clock.fetch_max(ev.time.as_nanos(), Ordering::Relaxed);
+        let cv = slot.cv.clone();
+        self.current = Some(ev.actor);
+        if trace {
+            eprintln!("[sim {:>12}] run {} ({})", ev.time, ev.actor, slot.name);
+        }
+        Some((ev.actor, cv))
+    }
+
+    /// Whether `ev` still targets its actor's current wait.
+    fn is_live(&self, ev: &Event) -> bool {
+        let slot = &self.actors[ev.actor.0];
+        slot.generation == ev.generation
+            && matches!(slot.state, ActorState::Blocked | ActorState::Starting)
+    }
+}
+
 pub(crate) struct KernelInner {
     state: Mutex<SchedState>,
-    /// Signalled whenever control should return to the scheduler loop.
+    /// Signalled when the token comes back to the scheduler thread: nothing
+    /// is runnable, or an actor panicked.
     scheduler_cv: Condvar,
     /// Global trace flag (diagnostics only).
     trace: AtomicU64,
@@ -132,6 +197,25 @@ pub fn events_scheduled_global() -> u64 {
 impl KernelInner {
     fn trace_on(&self) -> bool {
         self.trace.load(Ordering::Relaxed) != 0
+    }
+
+    /// Pass the token on from `me`, the actor that just stopped running:
+    /// grant the next event and wake its actor, or wake the scheduler
+    /// thread when nothing is runnable. Returns whether `me` itself was
+    /// granted; a self-grant wakes no one, so the caller carries on
+    /// without parking.
+    fn hand_off(&self, st: &mut SchedState, me: ActorId) -> bool {
+        match st.grant_next(self.trace_on()) {
+            Some((next, _)) if next == me => true,
+            Some((_, cv)) => {
+                cv.notify_one();
+                false
+            }
+            None => {
+                self.scheduler_cv.notify_one();
+                false
+            }
+        }
     }
 }
 
@@ -237,8 +321,12 @@ impl SimKernel {
                     st.poisoned = Some(format!("actor '{name}' panicked: {msg}"));
                 }
                 st.actors[ctx.id.0].state = ActorState::Done;
-                st.current = None;
-                thread_inner.scheduler_cv.notify_one();
+                if st.poisoned.is_some() {
+                    st.current = None;
+                    thread_inner.scheduler_cv.notify_one();
+                } else {
+                    thread_inner.hand_off(&mut st, ctx.id);
+                }
             })
             .expect("failed to spawn actor thread");
 
@@ -272,109 +360,51 @@ impl SimKernel {
     /// pending event, and some non-daemon actor still blocked).
     pub fn run(self) -> SimTime {
         let inner = self.inner.clone();
+        let mut st = inner.state.lock();
         loop {
-            let mut st = inner.state.lock();
-            // Wait until no actor holds the token.
-            while st.current.is_some() && st.poisoned.is_none() {
-                inner.scheduler_cv.wait(&mut st);
-            }
             if let Some(msg) = st.poisoned.take() {
                 drop(st);
                 self.detach_threads();
                 panic!("{msg}");
             }
-
-            // Serve the earliest still-valid event, refilling the ready
-            // batch from the heap when it runs dry: one pass drains the
-            // earliest event plus every event sharing its timestamp (see
-            // `SchedState::ready` for why batch order is dispatch order).
-            let next = loop {
-                if st.ready.is_empty() {
-                    while let Some(&Reverse(top)) = st.queue.peek() {
-                        if st.ready.front().is_some_and(|b| top.time > b.time) {
-                            break;
-                        }
-                        st.queue.pop();
-                        let slot = &st.actors[top.actor.0];
-                        let valid = slot.generation == top.generation
-                            && matches!(slot.state, ActorState::Blocked | ActorState::Starting);
-                        // Stale (superseded wake or finished actor): a
-                        // generation never rolls back, so staleness is
-                        // permanent and early discard is safe.
-                        if valid {
-                            st.ready.push_back(top);
-                        }
-                    }
-                    if st.ready.is_empty() {
-                        break None;
-                    }
-                }
-                let ev = st.ready.pop_front().expect("nonempty ready batch");
-                // Re-validate at serve time: an actor granted earlier in
-                // this batch has re-blocked under a new generation, staling
-                // any event it left behind.
-                let slot = &st.actors[ev.actor.0];
-                let valid = slot.generation == ev.generation
-                    && matches!(slot.state, ActorState::Blocked | ActorState::Starting);
-                if valid {
-                    break Some(ev);
-                }
-            };
-
-            match next {
-                Some(ev) => {
-                    st.horizon = st.horizon.max(ev.time);
-                    let slot = &mut st.actors[ev.actor.0];
-                    slot.state = ActorState::Running;
-                    slot.pending_wake = None;
-                    // Advance the actor's clock to the wake time; it may be
-                    // ahead already (e.g. a message arrived in its past).
-                    slot.clock.fetch_max(ev.time.as_nanos(), Ordering::Relaxed);
-                    let cv = slot.cv.clone();
-                    st.current = Some(ev.actor);
-                    if inner.trace_on() {
-                        eprintln!(
-                            "[sim {:>12}] run {} ({})",
-                            ev.time, ev.actor, st.actors[ev.actor.0].name
-                        );
-                    }
-                    drop(st);
-                    // Wake exactly the chosen actor: a targeted notify, not a
-                    // broadcast over every parked actor thread.
-                    cv.notify_one();
-                }
-                None => {
-                    // No events. Either we're done, or we're deadlocked.
-                    let blocked_nondaemon: Vec<String> = st
-                        .actors
-                        .iter()
-                        .filter(|a| !a.daemon && a.state != ActorState::Done)
-                        .map(|a| a.name.to_string())
-                        .collect();
-                    if blocked_nondaemon.is_empty() {
-                        let end = st.horizon;
-                        // Total events ever scheduled (including superseded
-                        // wakes): the denominator for wall-clock
-                        // sim-events/sec harness throughput.
-                        let events = st.seq;
-                        drop(st);
-                        self.detach_threads();
-                        EVENTS_GLOBAL.fetch_add(events, Ordering::Relaxed);
-                        inner.obs.registry().counter("sim.events.total").add(events);
-                        // Close out the trace: final registry snapshot at the
-                        // virtual end time, then flush the sink.
-                        inner.obs.emit_snapshot(end.as_nanos());
-                        return end;
-                    }
-                    drop(st);
-                    self.detach_threads();
-                    panic!(
-                        "simulation deadlock: no pending events but actors {:?} \
-                         are still blocked",
-                        blocked_nondaemon
-                    );
-                }
+            if st.current.is_some() {
+                // Actors hand the token to each other directly; it comes
+                // back here only when nothing is runnable or one panicked.
+                inner.scheduler_cv.wait(&mut st);
+                continue;
             }
+            if let Some((_, cv)) = st.grant_next(inner.trace_on()) {
+                cv.notify_one();
+                continue;
+            }
+            // No events. Either we're done, or we're deadlocked.
+            let blocked_nondaemon: Vec<String> = st
+                .actors
+                .iter()
+                .filter(|a| !a.daemon && a.state != ActorState::Done)
+                .map(|a| a.name.to_string())
+                .collect();
+            if !blocked_nondaemon.is_empty() {
+                drop(st);
+                self.detach_threads();
+                panic!(
+                    "simulation deadlock: no pending events but actors {:?} \
+                     are still blocked",
+                    blocked_nondaemon
+                );
+            }
+            let end = st.horizon;
+            // Total events ever scheduled (including superseded wakes): the
+            // denominator for wall-clock sim-events/sec harness throughput.
+            let events = st.seq;
+            drop(st);
+            self.detach_threads();
+            EVENTS_GLOBAL.fetch_add(events, Ordering::Relaxed);
+            inner.obs.registry().counter("sim.events.total").add(events);
+            // Close out the trace: final registry snapshot at the virtual end
+            // time, then flush the sink.
+            inner.obs.emit_snapshot(end.as_nanos());
+            return end;
         }
     }
 
@@ -538,38 +568,37 @@ impl ActorCtx {
     /// Block until a wake event with the current generation fires.
     /// `wake_at`: optionally self-schedule a wake (sleep); external wakers
     /// (message sends) may add earlier wakes for the same generation.
+    ///
+    /// The caller grants the next event itself; when that event is its own
+    /// wake, it returns without parking.
     pub(crate) fn block(&self, wake_at: Option<SimTime>) {
-        {
-            let mut st = self.kernel.state.lock();
-            debug_assert_eq!(st.current, Some(self.id), "yield from non-current actor");
-            let slot = &mut st.actors[self.id.0];
-            slot.state = ActorState::Blocked;
-            slot.generation += 1;
-            slot.pending_wake = wake_at;
-            let generation = slot.generation;
-            if let Some(t) = wake_at {
-                let seq = st.seq;
-                st.seq += 1;
-                st.queue.push(Reverse(Event {
-                    time: t,
-                    seq,
-                    actor: self.id,
-                    generation,
-                }));
-            }
-            st.current = None;
-            self.kernel.scheduler_cv.notify_one();
+        let mut st = self.kernel.state.lock();
+        debug_assert_eq!(st.current, Some(self.id), "yield from non-current actor");
+        let slot = &mut st.actors[self.id.0];
+        slot.state = ActorState::Blocked;
+        slot.generation += 1;
+        slot.pending_wake = wake_at;
+        let generation = slot.generation;
+        if let Some(t) = wake_at {
+            let seq = st.seq;
+            st.seq += 1;
+            st.queue.push(Reverse(Event {
+                time: t,
+                seq,
+                actor: self.id,
+                generation,
+            }));
         }
-        self.wait_for_turn();
+        if self.kernel.hand_off(&mut st, self.id) {
+            return;
+        }
+        while st.current != Some(self.id) {
+            self.cv.wait(&mut st);
+        }
     }
 
-    /// Re-register as blocked *while already blocked-and-woken*: used by
-    /// Port::recv loops. Identical to `block(None)`.
-    pub(crate) fn block_unscheduled(&self) {
-        self.block(None);
-    }
-
-    /// Park until the scheduler hands us the token.
+    /// Park until this actor's first grant (the spawn wrapper runs it before
+    /// the body; later turns come back through [`ActorCtx::block`]).
     fn wait_for_turn(&self) {
         let mut st = self.kernel.state.lock();
         while st.current != Some(self.id) {
@@ -652,6 +681,7 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::Port;
     use crate::time::units::*;
     use std::sync::atomic::AtomicUsize;
 
@@ -784,5 +814,99 @@ mod tests {
             assert_eq!(ctx.now(), t);
         });
         k.run();
+    }
+
+    #[test]
+    fn same_time_wakes_fire_in_creation_order_across_handoffs() {
+        // Each round the hub wakes every receiver at one timestamp, in a
+        // rotated order. The receivers then hand the token to each other
+        // directly as each re-parks, and must run in wake-creation order
+        // (the FIFO `seq` tie-break), not in actor-id order.
+        const N: usize = 4;
+        let k = SimKernel::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let ports: Vec<Port<usize>> = (0..N).map(|i| Port::new(&format!("r{i}"))).collect();
+        for (i, port) in ports.iter().enumerate() {
+            let (port, log) = (port.clone(), log.clone());
+            k.spawn(&format!("r{i}"), move |ctx| {
+                while let Some(round) = port.recv(ctx) {
+                    log.lock().push((ctx.now().as_nanos(), round, i));
+                }
+            });
+        }
+        k.spawn("hub", move |ctx| {
+            for round in 0..3 {
+                ctx.advance(us(10));
+                for j in 0..N {
+                    ports[(j + round) % N].send(ctx, round, ctx.now() + us(5));
+                }
+            }
+            // Close only after the last round is delivered: a close wakes
+            // every parked receiver at once, in port order.
+            ctx.advance(us(10));
+            for port in &ports {
+                port.close(ctx);
+            }
+        });
+        k.run();
+        let want: Vec<(u64, usize, usize)> = (0..3)
+            .flat_map(|round| {
+                let t = (10 * round as u64 + 15) * 1_000;
+                (0..N).map(move |j| (t, round, (j + round) % N))
+            })
+            .collect();
+        assert_eq!(*log.lock(), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock")]
+    fn mutual_recv_wait_after_handoffs_is_a_deadlock() {
+        let k = SimKernel::new();
+        let (ab, ba): (Port<u64>, Port<u64>) = (Port::new("a->b"), Port::new("b->a"));
+        let (to_b, from_b) = (ab.clone(), ba.clone());
+        k.spawn("a", move |ctx| {
+            for i in 0..3 {
+                to_b.send(ctx, i, ctx.now() + us(1));
+                assert_eq!(from_b.recv(ctx), Some(i));
+            }
+            from_b.recv(ctx); // b never sends again
+        });
+        k.spawn("b", move |ctx| {
+            for _ in 0..3 {
+                let v = ab.recv(ctx).expect("ping");
+                ba.send(ctx, v, ctx.now() + us(1));
+            }
+            ab.recv(ctx); // nor does a
+        });
+        k.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "panicked: boom after handoff")]
+    fn panic_in_actor_granted_by_another_actor_propagates() {
+        // "a" blocks at 1us and at 5us; each block grants "b" directly, so
+        // b's fatal turn at 2us comes from a's handoff, not the scheduler.
+        let k = SimKernel::new();
+        k.spawn("a", |ctx| {
+            ctx.advance(us(1));
+            ctx.advance(us(5));
+        });
+        k.spawn("b", |ctx| {
+            ctx.advance(us(2));
+            panic!("boom after handoff");
+        });
+        k.run();
+    }
+
+    #[test]
+    fn lone_actor_self_grants_every_step() {
+        const STEPS: u64 = 100_000;
+        let k = SimKernel::new();
+        k.spawn("solo", |ctx| {
+            for _ in 0..STEPS {
+                ctx.advance(ns(1));
+            }
+        });
+        assert_eq!(k.run(), SimTime::ZERO + ns(STEPS));
     }
 }

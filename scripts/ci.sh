@@ -13,6 +13,11 @@ RUSTFLAGS="${RUSTFLAGS:-} -D warnings" cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> simnet kernel tests, optimised build"
+# The direct-handoff paths race differently under optimised timing than
+# under the debug build above, so the kernel's own tests run in both.
+cargo test -q --release -p simnet
+
 echo "==> chaos suite (deterministic fault injection)"
 cargo test -q --test chaos
 
@@ -83,10 +88,11 @@ echo "$x6_out" | grep -q "deadline boost" || {
 echo "==> R-K1 kernel-speed floor (wall-clock events/s regression gate)"
 # The simulator itself must stay fast: the smoke-size kernel microbench
 # has to dispatch at least this many events per wall-clock second on
-# every workload shape. The floor is ~10x below what the zero-copy /
-# per-actor-condvar / same-timestamp-batching kernel measures on a quiet
-# machine, so it only trips on a genuine dispatch-path regression, not
-# scheduler noise.
+# every workload shape. The floor is well below what the zero-copy /
+# per-actor-condvar / same-timestamp-batching / direct-handoff kernel
+# (blocking actors grant the next event themselves, no scheduler-thread
+# round trip) measures on a quiet machine, so it only trips on a genuine
+# dispatch-path regression, not scheduler noise.
 cargo run --release -p mpio-dafs-bench --bin kernel_speed -- --smoke --floor 25000
 
 echo "==> bench suite byte-identity under MPIO_DAFS_CACHE=disable"
@@ -124,8 +130,8 @@ diff -u "$tmp_json.golden" "$tmp_json.got" || {
 
 echo "==> R-F10 1024-client cell wall-clock budget"
 # The 1024-client cell is the largest single simulation in the suite;
-# same-timestamp pop batching keeps it dispatching well above this
-# floor (~10x below a quiet-machine run), so a kernel or fabric
+# same-timestamp pop batching and direct actor-to-actor handoff keep it
+# dispatching well above this floor, so a kernel or fabric
 # regression that makes the big cells crawl fails CI instead of just
 # making the suite slow. The note comes from the identity run above.
 f10_rate=$(sed -n 's|.*1024-client s=4 o=1:1 cell ran [0-9]* sim events in [0-9.]*s (\([0-9]*\) events/s).*|\1|p' "$tmp_txt")
