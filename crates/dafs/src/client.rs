@@ -1873,14 +1873,10 @@ impl DafsClient {
             }
             (BatchDir::Write, false) => {
                 // Gather the segments into the packed inline payload.
+                let mem = &self.nic.host().mem;
                 let mut data = Vec::with_capacity(sb.len as usize);
                 for &(_, len, rel) in segs {
-                    let piece = self
-                        .nic
-                        .host()
-                        .mem
-                        .read_bytes(sb.addr.offset(rel), len as usize);
-                    data.extend_from_slice(&piece);
+                    mem.read_append(sb.addr.offset(rel), len as usize, &mut data);
                 }
                 let mut e = Enc::new();
                 e.u64(sb.fh.0).u8(0);

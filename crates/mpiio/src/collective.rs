@@ -10,6 +10,13 @@
 //!    them into its collective buffer and issues one coalesced filesystem
 //!    write per covered run.
 //!
+//! A collective buffer is `min(cb_buffer_size, file domain)` bytes — the
+//! largest window its aggregator sweeps — and is freed on every exit path,
+//! errors included. Pieces are packed straight from the user buffer into
+//! the exchange messages, and `alltoallv` moves those messages to their
+//! peers instead of copying them. None of this touches virtual time: the
+//! model charges each packing and overlay copy through `HostCost::copy`.
+//!
 //! Reads run the same sweep in reverse: ranks send piece *descriptors*, the
 //! aggregator reads the coalesced coverage once and ships pieces back.
 //!
@@ -29,7 +36,7 @@
 //! `mpiio.twophase.overlap_ns`; `romio_cb_pipeline=disable` restores the
 //! strictly synchronous sweep.
 
-use simnet::{ActorCtx, Host, SimTime, VirtAddr};
+use simnet::{ActorCtx, Host, HostMem, SimTime, VirtAddr};
 
 use crate::adio::{AdioRequest, AdioResult};
 use crate::comm::Comm;
@@ -149,6 +156,14 @@ impl Sweep {
         (s.min(self.gmax), (s + self.fd).min(self.gmax))
     }
 
+    /// Length of aggregator `a`'s collective buffer: its largest window,
+    /// which is `cb` unless the whole domain is shorter (0 for an empty
+    /// domain). Every `window(a, _)` fits in it.
+    fn cbuf_len(&self, a: usize) -> u64 {
+        let (ds, de) = self.domain(a);
+        self.cb.min(de - ds)
+    }
+
     /// Aggregator `a`'s window in `phase`, if any.
     fn window(&self, a: usize, phase: u64) -> Option<(u64, u64)> {
         let (ds, de) = self.domain(a);
@@ -157,6 +172,46 @@ impl Sweep {
             return None;
         }
         Some((ws, (ws + self.cb).min(de)))
+    }
+}
+
+/// An aggregator's collective buffers, freed when dropped — so an error
+/// that leaves the sweep early releases them too.
+struct CollBufs {
+    mem: HostMem,
+    bufs: Vec<VirtAddr>,
+}
+
+impl CollBufs {
+    /// The buffers this rank needs for `sweep`: `nbufs` of
+    /// [`Sweep::cbuf_len`] on an aggregator, none elsewhere.
+    fn new(mem: &HostMem, sweep: &Sweep, rank: usize, nbufs: usize) -> CollBufs {
+        let bufs = if rank < sweep.naggs {
+            let len = sweep.cbuf_len(rank) as usize;
+            (0..nbufs).map(|_| mem.alloc(len)).collect()
+        } else {
+            Vec::new()
+        };
+        CollBufs {
+            mem: mem.clone(),
+            bufs,
+        }
+    }
+
+    /// The buffer `phase` overlays into (buffers alternate by phase).
+    fn for_phase(&self, phase: u64) -> Option<VirtAddr> {
+        if self.bufs.is_empty() {
+            return None;
+        }
+        Some(self.bufs[phase as usize % self.bufs.len()])
+    }
+}
+
+impl Drop for CollBufs {
+    fn drop(&mut self) {
+        for b in self.bufs.drain(..) {
+            self.mem.free(b);
+        }
     }
 }
 
@@ -239,14 +294,14 @@ fn ship_read_replies(
                 let len = get_u64(msg, &mut pos);
                 put_u64(reply, off);
                 put_u64(reply, len);
-                let data = host.mem.read_vec(cbuf.offset(off - ws), len as usize);
-                reply.extend_from_slice(&data);
+                host.mem
+                    .read_append(cbuf.offset(off - ws), len as usize, reply);
                 host.compute(ctx, simnet::cost::HostCost::default().copy(len));
             }
         }
     }
     charge_phase(ctx, "mpiio.twophase.aggregation_ns", mark);
-    let incoming = comm.alltoallv(ctx, &replies);
+    let incoming = comm.alltoallv(ctx, replies);
     charge_phase(ctx, "mpiio.twophase.exchange_ns", mark);
     // Scatter the pieces I got back into my user buffer.
     let mut total = 0u64;
@@ -293,7 +348,6 @@ pub fn write_at_all(
         return Ok(nbytes);
     };
     let host = file.host().clone();
-    let is_agg = comm.rank() < sweep.naggs;
     let pipelined = file.hints().cb_pipeline != TriState::Disable;
     // Cache-aware collective buffering (`romio_cb_cache`): aggregated
     // windows go through the lease-coherent write-back cache — one local
@@ -310,9 +364,7 @@ pub fn write_at_all(
     // Two collective buffers when pipelining: batch k-1 drains from one
     // while phase k overlays into the other.
     let nbufs = if pipelined { 2 } else { 1 };
-    let cbufs: Vec<VirtAddr> = (0..if is_agg { nbufs } else { 0 })
-        .map(|_| host.mem.alloc(sweep.cb as usize))
-        .collect();
+    let cbufs = CollBufs::new(&host.mem, &sweep, comm.rank(), nbufs);
     ctx.metrics().counter("mpiio.twophase.writes").inc();
     ctx.trace(
         "mpiio",
@@ -324,14 +376,12 @@ pub fn write_at_all(
         ],
     );
     let mut mark = ctx.now();
-    let mut sends: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
     let mut pending: Option<(AdioRequest, SimTime)> = None;
 
     for phase in 0..sweep.phases {
-        // Ship my pieces to each aggregator's current window.
-        for s in sends.iter_mut() {
-            s.clear();
-        }
+        // Ship my pieces to each aggregator's current window, packed
+        // straight from my buffer into the message.
+        let mut sends: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
         for a in 0..sweep.naggs {
             let Some((ws, we)) = sweep.window(a, phase) else {
                 continue;
@@ -341,23 +391,22 @@ pub fn write_at_all(
                 if let Some(c) = clip(p, ws, we) {
                     put_u64(msg, c.off);
                     put_u64(msg, c.len);
-                    let data = host.mem.read_vec(src.offset(c.buf_off), c.len as usize);
-                    msg.extend_from_slice(&data);
+                    host.mem
+                        .read_append(src.offset(c.buf_off), c.len as usize, msg);
                     // Packing copy.
                     host.compute(ctx, simnet::cost::HostCost::default().copy(c.len));
                 }
             }
         }
         charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-        let received = comm.alltoallv(ctx, &sends);
+        let received = comm.alltoallv(ctx, sends);
         charge_phase(ctx, "mpiio.twophase.exchange_ns", &mut mark);
         // Aggregate my window. When pipelining, the previous batch is still
         // draining from the *other* collective buffer while this overlays.
         let mut reqs: Option<Vec<(u64, VirtAddr, u64)>> = None;
-        if let (Some(&cbuf), Some((ws, we))) = (
-            cbufs.get(phase as usize % nbufs),
-            sweep.window(comm.rank(), phase),
-        ) {
+        if let (Some(cbuf), Some((ws, we))) =
+            (cbufs.for_phase(phase), sweep.window(comm.rank(), phase))
+        {
             let mut covered: Vec<(u64, u64)> = Vec::new();
             for msg in &received {
                 let mut pos = 0usize;
@@ -404,9 +453,7 @@ pub fn write_at_all(
         }
     }
     drain_window_batch(ctx, pending.take(), &mut mark)?;
-    for cbuf in cbufs {
-        host.mem.free(cbuf);
-    }
+    drop(cbufs);
     mark = ctx.now();
     comm.barrier(ctx);
     // Time blocked at the closing barrier — mostly waiting on aggregator I/O.
@@ -436,7 +483,6 @@ pub fn read_at_all(
         return Ok(0);
     };
     let host = file.host().clone();
-    let is_agg = comm.rank() < sweep.naggs;
     let pipelined = file.hints().cb_pipeline != TriState::Disable;
     // Cache-aware collective buffering (`romio_cb_cache`): aggregators
     // fill their windows through the lease-coherent cache, so re-read
@@ -445,9 +491,7 @@ pub fn read_at_all(
     // Two collective buffers when pipelining: window k reads into one
     // while window k-1's replies ship from the other.
     let nbufs = if pipelined { 2 } else { 1 };
-    let cbufs: Vec<VirtAddr> = (0..if is_agg { nbufs } else { 0 })
-        .map(|_| host.mem.alloc(sweep.cb as usize))
-        .collect();
+    let cbufs = CollBufs::new(&host.mem, &sweep, comm.rank(), nbufs);
     let mut total = 0u64;
     ctx.metrics().counter("mpiio.twophase.reads").inc();
     ctx.trace(
@@ -460,7 +504,6 @@ pub fn read_at_all(
         ],
     );
     let mut mark = ctx.now();
-    let mut sends: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
     let mut pending: Option<(AdioRequest, SimTime)> = None;
     // Pipelined sweep: the previous phase's request messages still owed
     // replies, plus the buffer serving them if this rank aggregated that
@@ -470,9 +513,7 @@ pub fn read_at_all(
 
     for phase in 0..sweep.phases {
         // Send piece descriptors to aggregators.
-        for s in sends.iter_mut() {
-            s.clear();
-        }
+        let mut sends: Vec<Vec<u8>> = vec![Vec::new(); comm.size()];
         for a in 0..sweep.naggs {
             let Some((ws, we)) = sweep.window(a, phase) else {
                 continue;
@@ -486,7 +527,7 @@ pub fn read_at_all(
             }
         }
         charge_phase(ctx, "mpiio.twophase.aggregation_ns", &mut mark);
-        let requests = comm.alltoallv(ctx, &sends);
+        let requests = comm.alltoallv(ctx, sends);
         charge_phase(ctx, "mpiio.twophase.exchange_ns", &mut mark);
         if pipelined {
             // Window k-1's batch must land before its buffer is answered
@@ -495,10 +536,9 @@ pub fn read_at_all(
             drain_window_batch(ctx, pending.take(), &mut mark)?;
             // Issue my window's coalesced read nonblocking.
             let mut served: Option<(VirtAddr, u64)> = None;
-            if let (Some(&cbuf), Some((ws, _we))) = (
-                cbufs.get(phase as usize % nbufs),
-                sweep.window(comm.rank(), phase),
-            ) {
+            if let (Some(cbuf), Some((ws, _we))) =
+                (cbufs.for_phase(phase), sweep.window(comm.rank(), phase))
+            {
                 let runs = merge_runs(piece_descs(&requests));
                 let reqs: Vec<(u64, VirtAddr, u64)> = runs
                     .iter()
@@ -534,8 +574,8 @@ pub fn read_at_all(
         } else {
             // Aggregator: read coalesced coverage, ship pieces back.
             let mut served: Option<(VirtAddr, u64)> = None;
-            if let (Some(&cbuf), Some((ws, _we))) =
-                (cbufs.first(), sweep.window(comm.rank(), phase))
+            if let (Some(cbuf), Some((ws, _we))) =
+                (cbufs.for_phase(phase), sweep.window(comm.rank(), phase))
             {
                 let runs = merge_runs(piece_descs(&requests));
                 let reqs: Vec<(u64, VirtAddr, u64)> = runs
@@ -572,9 +612,7 @@ pub fn read_at_all(
             &mut mark,
         );
     }
-    for cbuf in cbufs {
-        host.mem.free(cbuf);
-    }
+    drop(cbufs);
     mark = ctx.now();
     comm.barrier(ctx);
     // Time blocked at the closing barrier — mostly waiting on aggregator I/O.
@@ -762,6 +800,50 @@ mod tests {
             }
         }
         assert_eq!(covered, s.gmax - s.gmin);
+        assert_windows_fit(&s);
+
+        // A collective buffer larger than the domain shrinks to it; one
+        // clipped at gmax gets the short length.
+        let wide = Sweep {
+            cb: 1000,
+            phases: 1,
+            ..s
+        };
+        assert_eq!(wide.cbuf_len(0), 400);
+        assert_eq!(wide.cbuf_len(2), 200);
+        assert_windows_fit(&wide);
+
+        // Extent 5 over 4 aggregators: fd = 2, so the third domain is
+        // clipped to one byte and the fourth is empty.
+        let tiny = Sweep {
+            gmin: 0,
+            fd: 2,
+            naggs: 4,
+            cb: 4096,
+            phases: 1,
+            gmax: 5,
+        };
+        assert_eq!(tiny.domain(2), (4, 5));
+        assert_eq!(tiny.domain(3), (5, 5));
+        assert_eq!(
+            (0..4).map(|a| tiny.cbuf_len(a)).collect::<Vec<_>>(),
+            vec![2, 2, 1, 0]
+        );
+        assert_eq!(tiny.window(3, 0), None);
+        assert_windows_fit(&tiny);
+    }
+
+    /// Every window an aggregator sweeps fits in its collective buffer,
+    /// and the buffer is no longer than its longest window.
+    fn assert_windows_fit(s: &Sweep) {
+        for a in 0..s.naggs {
+            let longest = (0..s.phases)
+                .filter_map(|p| s.window(a, p))
+                .map(|(ws, we)| we - ws)
+                .max()
+                .unwrap_or(0);
+            assert_eq!(longest, s.cbuf_len(a), "aggregator {a}");
+        }
     }
 
     #[test]
@@ -778,5 +860,156 @@ mod tests {
         // Full containment.
         let c = clip(&p, 0, 1000).unwrap();
         assert_eq!((c.off, c.len, c.buf_off), (100, 50, 7));
+    }
+
+    use crate::datatype::Datatype;
+    use crate::file::OpenMode;
+    use crate::hints::Hints;
+    use crate::world::{Backend, Testbed};
+
+    /// The byte rank `rank` holds at offset `i` of its user buffer.
+    fn pattern(rank: usize, i: usize) -> u8 {
+        (rank * 61 + i * 7 + i / 251 + 1) as u8
+    }
+
+    /// Two-phase write then read of `blocks` rank-interleaved blocks of
+    /// `block` bytes per rank, verified byte for byte in each rank's read
+    /// buffer and in the server's file. Every collective must hand its
+    /// collective buffers back to the host arena.
+    fn interleaved_roundtrip(
+        ranks: usize,
+        block: u64,
+        blocks: u64,
+        hint_pairs: &'static [(&'static str, &'static str)],
+    ) {
+        let tb = Testbed::new(Backend::dafs());
+        let fs = tb.fs.clone();
+        let nbytes = block * blocks;
+        tb.run(ranks, move |ctx, comm, adio| {
+            let host = comm.host().clone();
+            let mut hints = Hints::default();
+            for (k, v) in hint_pairs {
+                hints.set(k, v);
+            }
+            let file = MpiFile::open(ctx, adio, &host, "/coll", OpenMode::create(), hints).unwrap();
+            let el = Datatype::bytes(block);
+            let ft = Datatype::resized(
+                &Datatype::hindexed(&[(1, (comm.rank() as u64 * block) as i64)], &el),
+                0,
+                ranks as u64 * block,
+            );
+            file.set_view(0, &el, &ft);
+            let want: Vec<u8> = (0..nbytes as usize)
+                .map(|i| pattern(comm.rank(), i))
+                .collect();
+            let src = host.mem.alloc(nbytes as usize);
+            host.mem.write(src, &want);
+            let dst = host.mem.alloc(nbytes as usize);
+            let live = host.mem.allocated_bytes();
+            assert_eq!(write_at_all(ctx, comm, &file, 0, src, nbytes), Ok(nbytes));
+            assert_eq!(host.mem.allocated_bytes(), live, "write leaked");
+            assert_eq!(read_at_all(ctx, comm, &file, 0, dst, nbytes), Ok(nbytes));
+            assert_eq!(host.mem.allocated_bytes(), live, "read leaked");
+            assert!(
+                host.mem.read_vec(dst, nbytes as usize) == want,
+                "rank {}",
+                comm.rank()
+            );
+        });
+        let attr = fs.resolve("/coll").unwrap();
+        assert_eq!(attr.size, ranks as u64 * nbytes);
+        let data = fs.read(attr.id, 0, attr.size).unwrap();
+        for (pos, &got) in data.iter().enumerate() {
+            let (b, within) = (pos as u64 / block, pos as u64 % block);
+            let (round, rank) = (b / ranks as u64, (b % ranks as u64) as usize);
+            let i = (round * block + within) as usize;
+            assert_eq!(got, pattern(rank, i), "file offset {pos}");
+        }
+    }
+
+    #[test]
+    fn roundtrip_collective_buffer_wider_than_domain() {
+        // Extent 64 KiB over 4 aggregators: 16 KiB domains, 1 MiB buffer.
+        interleaved_roundtrip(4, 4096, 4, &[("cb_buffer_size", "1048576")]);
+        interleaved_roundtrip(
+            4,
+            4096,
+            4,
+            &[
+                ("cb_buffer_size", "1048576"),
+                ("romio_cb_pipeline", "disable"),
+            ],
+        );
+    }
+
+    #[test]
+    fn roundtrip_ragged_last_window() {
+        // 15000-byte domains swept in 4096-byte windows: the fourth is
+        // 2712 bytes, and 3000-byte pieces straddle window edges.
+        interleaved_roundtrip(4, 3000, 5, &[("cb_buffer_size", "4096")]);
+        interleaved_roundtrip(
+            4,
+            3000,
+            5,
+            &[("cb_buffer_size", "4096"), ("romio_cb_pipeline", "disable")],
+        );
+    }
+
+    #[test]
+    fn roundtrip_extent_not_divisible_by_aggregators() {
+        // Extent 20000 over 3 aggregators: domains 6667, 6667 and 6666
+        // bytes, and rank 3 aggregates nothing.
+        interleaved_roundtrip(4, 1000, 5, &[("cb_nodes", "3"), ("cb_buffer_size", "4096")]);
+        interleaved_roundtrip(
+            4,
+            1000,
+            5,
+            &[
+                ("cb_nodes", "3"),
+                ("cb_buffer_size", "4096"),
+                ("romio_cb_pipeline", "disable"),
+            ],
+        );
+        // Extent 4 over 3 aggregators: domains 2, 2 and 0 bytes.
+        interleaved_roundtrip(4, 1, 1, &[("cb_nodes", "3")]);
+        interleaved_roundtrip(
+            4,
+            1,
+            1,
+            &[("cb_nodes", "3"), ("romio_cb_pipeline", "disable")],
+        );
+    }
+
+    /// A one-rank collective whose filesystem batch fails (the file was
+    /// deleted under the open handle) returns `Err` and still frees its
+    /// collective buffers. One rank, so no peer is left in an exchange.
+    fn failed_collective_frees_buffers(pipeline: &'static str) {
+        Testbed::new(Backend::dafs()).run(1, move |ctx, comm, adio| {
+            let host = comm.host().clone();
+            let mut hints = Hints::default();
+            hints.set("romio_cb_pipeline", pipeline);
+            let file = MpiFile::open(ctx, adio, &host, "/gone", OpenMode::create(), hints).unwrap();
+            let buf = host.mem.alloc(64 << 10);
+            assert_eq!(
+                write_at_all(ctx, comm, &file, 0, buf, 64 << 10),
+                Ok(64 << 10)
+            );
+            crate::file::mpi_file_delete(ctx, adio, "/gone").unwrap();
+            let live = host.mem.allocated_bytes();
+            assert!(write_at_all(ctx, comm, &file, 0, buf, 64 << 10).is_err());
+            assert_eq!(host.mem.allocated_bytes(), live, "failed write leaked");
+            assert!(read_at_all(ctx, comm, &file, 0, buf, 64 << 10).is_err());
+            assert_eq!(host.mem.allocated_bytes(), live, "failed read leaked");
+        });
+    }
+
+    #[test]
+    fn failed_collective_frees_buffers_pipelined() {
+        failed_collective_frees_buffers("enable");
+    }
+
+    #[test]
+    fn failed_collective_frees_buffers_synchronous() {
+        failed_collective_frees_buffers("disable");
     }
 }

@@ -147,6 +147,12 @@ impl HostMem {
         v
     }
 
+    /// Append `len` bytes at `addr` to `out`: one lock, one copy, no
+    /// temporary. For packing arena bytes straight into a message.
+    pub fn read_append(&self, addr: VirtAddr, len: usize, out: &mut Vec<u8>) {
+        self.with_alloc(addr, len, |m| out.extend_from_slice(m));
+    }
+
     /// Copy bytes out into a pooled, refcounted frame. One copy out of the
     /// arena; everything downstream shares the frame by reference.
     pub fn read_bytes(&self, addr: VirtAddr, len: usize) -> crate::buf::Bytes {
@@ -338,6 +344,18 @@ mod tests {
         assert!(b.0 >= a.0 + 4096);
         m.fill(a, 4096, 0xAA);
         assert_eq!(m.read_vec(b, 16), vec![0u8; 16]);
+    }
+
+    #[test]
+    fn read_append_extends_in_place() {
+        let m = HostMem::new();
+        let a = m.alloc(16);
+        m.write(a.offset(4), b"abcd");
+        let mut out = b"xy".to_vec();
+        m.read_append(a.offset(5), 3, &mut out);
+        assert_eq!(out, b"xybcd");
+        m.read_append(a, 0, &mut out);
+        assert_eq!(out, b"xybcd");
     }
 
     #[test]

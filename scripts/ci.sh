@@ -18,6 +18,11 @@ echo "==> simnet kernel tests, optimised build"
 # under the debug build above, so the kernel's own tests run in both.
 cargo test -q --release -p simnet
 
+echo "==> mpiio tests, optimised build"
+# The two-phase collectives run through the direct-handoff kernel, whose
+# timing differs under the optimised build, so they run in both as well.
+cargo test -q --release -p mpiio
+
 echo "==> chaos suite (deterministic fault injection)"
 cargo test -q --test chaos
 
